@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use splitbft_crypto::aead::{open, seal, AeadKey};
-use splitbft_crypto::hmac::hmac_sha256;
+use splitbft_crypto::hmac::{hmac_sha256, MacKey};
 use splitbft_crypto::sha256::sha256;
 use splitbft_crypto::KeyPair;
 
@@ -20,6 +20,9 @@ fn bench_crypto(c: &mut Criterion) {
     g.bench_function("hmac/64B", |b| {
         b.iter(|| hmac_sha256(black_box(b"key material 32 bytes long......"), black_box(&payload_small)))
     });
+    // The same tag from a key whose pad states were absorbed once.
+    let mac = MacKey::new(*b"key material 32 bytes long......");
+    g.bench_function("mac_key_tag/64B", |b| b.iter(|| mac.tag(black_box(&payload_small))));
 
     let kp = KeyPair::from_seed(7);
     let sig = kp.sign(&payload_small);

@@ -19,7 +19,7 @@ use bytes::Bytes;
 use splitbft_app::Application;
 use splitbft_crypto::aead::{open, seal, AeadKey};
 use splitbft_crypto::sig::{dh_public, dh_shared};
-use splitbft_crypto::{client_mac_key, digest_bytes, digest_of, KeyPair, KeyRegistry};
+use splitbft_crypto::{digest_bytes, digest_of, ClientKeys, KeyPair, KeyRegistry};
 use splitbft_pbft::verify::verify_signed_from;
 use splitbft_pbft::CheckpointTracker;
 use splitbft_tee::seal::SealingIdentity;
@@ -64,7 +64,7 @@ pub struct ExecutionCompartment<A> {
     signer: SignerId,
     keypair: KeyPair,
     registry: KeyRegistry,
-    auth_seed: u64,
+    client_keys: ClientKeys,
 
     /// This compartment's copy of the replicated view variable.
     view: View,
@@ -104,7 +104,7 @@ impl<A: Application> ExecutionCompartment<A> {
             signer,
             keypair,
             registry,
-            auth_seed: master_seed,
+            client_keys: ClientKeys::new(master_seed),
             view: View::initial(),
             slots: BTreeMap::new(),
             checkpoints: CheckpointTracker::new(),
@@ -341,7 +341,7 @@ impl<A: Application> ExecutionCompartment<A> {
         // request into the batch. Corrupt requests execute as no-ops
         // (§4: "the Execution Compartment will detect this and execute a
         // no-op instead").
-        let mac = client_mac_key(self.auth_seed, client);
+        let mac = self.client_keys.get(client);
         let authentic =
             mac.verify(&Request::auth_bytes(req.id, &req.op, req.encrypted), &req.auth);
 
@@ -416,7 +416,7 @@ impl<A: Application> ExecutionCompartment<A> {
             .into_iter()
             .map(|(client, timestamp, result)| {
                 let request = splitbft_types::RequestId { client, timestamp };
-                let mac = client_mac_key(self.auth_seed, client);
+                let mac = self.client_keys.get(client);
                 // Restored results may be ciphertexts from the encrypted
                 // path; mark them non-encrypted for the resend MAC — the
                 // result bytes are replayed verbatim either way.

@@ -13,7 +13,7 @@
 
 use crate::ecall::{CompartmentInput, CompartmentOutput};
 use crate::scheme::{enclave_signer, SPLITBFT_SCHEME};
-use splitbft_crypto::{client_mac_key, digest_of, KeyPair, KeyRegistry};
+use splitbft_crypto::{digest_of, ClientKeys, KeyPair, KeyRegistry};
 use splitbft_pbft::verify::{verify_signed_from, verify_view_change};
 use splitbft_pbft::viewchange::{plan_new_view, validate_new_view};
 use splitbft_pbft::{CheckpointTracker, MessageLog, ViewChangeTracker};
@@ -30,7 +30,7 @@ pub struct PreparationCompartment {
     signer: SignerId,
     keypair: KeyPair,
     registry: KeyRegistry,
-    auth_seed: u64,
+    client_keys: ClientKeys,
 
     /// This compartment's copy of the replicated view variable.
     view: View,
@@ -59,7 +59,7 @@ impl PreparationCompartment {
             signer,
             keypair,
             registry,
-            auth_seed: master_seed,
+            client_keys: ClientKeys::new(master_seed),
             view: View::initial(),
             in_prep,
             checkpoints: CheckpointTracker::new(),
@@ -107,29 +107,13 @@ impl PreparationCompartment {
         }
     }
 
-    fn verify_request(&self, req: &Request) -> bool {
-        let key = client_mac_key(self.auth_seed, req.client());
-        key.verify(&Request::auth_bytes(req.id, &req.op, req.encrypted), &req.auth)
-    }
-
-    /// Authenticates a whole proposed batch with one constant-time
-    /// digest comparison ([`splitbft_crypto::verify_tag_batch`]); any
-    /// failing member rejects the batch, so per-request verdicts are
-    /// unnecessary on this path.
-    fn verify_request_batch(&self, requests: &[Request]) -> bool {
-        splitbft_crypto::verify_tag_batch(requests.iter().map(|req| {
-            let key = client_mac_key(self.auth_seed, req.client());
-            (key.tag(&Request::auth_bytes(req.id, &req.op, req.encrypted)), req.auth)
-        }))
-    }
-
     /// Handler (1): the primary orders a batch.
     fn on_client_batch(&mut self, requests: Vec<Request>) -> Vec<CompartmentOutput> {
         if !self.is_primary() {
             return Vec::new();
         }
         let fresh: Vec<Request> =
-            requests.into_iter().filter(|r| self.verify_request(r)).collect();
+            requests.into_iter().filter(|r| self.client_keys.verify_request(r)).collect();
         if fresh.is_empty() {
             return Vec::new();
         }
@@ -165,7 +149,9 @@ impl PreparationCompartment {
         if digest_of(&pp.payload.batch) != pp.payload.digest {
             return Err(ProtocolError::BadCertificate { kind: "pre-prepare digest" });
         }
-        if !self.verify_request_batch(&pp.payload.batch.requests) {
+        // Any failing member rejects the whole batch, so one decision per
+        // batch suffices.
+        if !self.client_keys.verify_batch(&pp.payload.batch.requests) {
             return Err(ProtocolError::BadAuthenticator { kind: "request in batch" });
         }
         self.accept_pre_prepare(pp)

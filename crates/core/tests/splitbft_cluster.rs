@@ -139,6 +139,38 @@ fn state_stays_consistent_across_many_requests() {
 }
 
 #[test]
+fn compartment_stats_carry_the_figure_4_profile() {
+    // `stats(kind)` is the per-compartment ecall profile behind the
+    // paper's Figure 4: every compartment of every replica must show
+    // crossings, copied bytes and boundary time.
+    const BATCH: u64 = 3;
+    const BATCHES: u64 = 12;
+    let mut cluster = Cluster::new(4, 128, CounterApp::new);
+    for b in 0..BATCHES {
+        let batch = (0..BATCH)
+            .map(|i| plain_request(i as u32, b + 1, Bytes::from_static(b"inc")))
+            .collect();
+        cluster.submit(0, batch);
+    }
+    let executed = BATCH * BATCHES;
+    for r in &cluster.replicas {
+        assert_eq!(r.app().value(), executed, "replica {}", r.id());
+        for kind in [
+            CompartmentKind::Preparation,
+            CompartmentKind::Confirmation,
+            CompartmentKind::Execution,
+        ] {
+            let stats = r.stats(kind);
+            assert!(stats.ecalls > 0, "replica {} {kind:?}: {stats:?}", r.id());
+            assert!(stats.bytes_in > 0, "replica {} {kind:?}: {stats:?}", r.id());
+            assert!(stats.boundary_ns > 0, "replica {} {kind:?}: {stats:?}", r.id());
+        }
+        let exec = r.stats(CompartmentKind::Execution);
+        assert!(exec.ecalls >= executed / BATCH, "replica {}: {exec:?}", r.id());
+    }
+}
+
+#[test]
 fn confidential_client_roundtrip_with_attestation() {
     let mut cluster = Cluster::new(4, 128, KeyValueStore::new);
     let authority = PlatformAuthority::from_seed(7);

@@ -7,9 +7,10 @@
 //! known to all participants. [`KeyRegistry`] models that public knowledge;
 //! secret keys live inside the enclaves (see `splitbft-tee`).
 
+use crate::hmac::{verify_tag_batch, MacKey};
 use crate::sig::{SecretKey, SigPublicKey};
 use splitbft_types::message::MessagePayload;
-use splitbft_types::{ProtocolError, PublicKey, Signature, Signed, SignerId};
+use splitbft_types::{ClientId, ProtocolError, PublicKey, Request, Signature, Signed, SignerId};
 use std::collections::HashMap;
 
 /// A signing key pair.
@@ -50,7 +51,7 @@ impl KeyPair {
 
     /// Signs raw bytes.
     pub fn sign(&self, msg: &[u8]) -> Signature {
-        self.secret.sign(msg)
+        self.secret.sign_with_public(msg, self.public)
     }
 
     /// Verifies raw bytes against a wire-form public key.
@@ -75,10 +76,62 @@ impl KeyPair {
 /// SplitBFT: the Execution compartments). In the paper this key is
 /// installed during attestation; simulated deployments derive it from the
 /// cluster master seed so that both sides can compute it.
-pub fn client_mac_key(master_seed: u64, client: splitbft_types::ClientId) -> crate::hmac::MacKey {
+pub fn client_mac_key(master_seed: u64, client: ClientId) -> MacKey {
     let mut context = b"client-mac:".to_vec();
     context.extend_from_slice(&client.0.to_le_bytes());
-    crate::hmac::MacKey::derive(&master_seed.to_le_bytes(), &context)
+    MacKey::derive(&master_seed.to_le_bytes(), &context)
+}
+
+/// The replica side of client authentication: every client's MAC key under
+/// one master seed, each derived once and then served from a bounded
+/// cache.
+///
+/// The cache holds at most [`ClientKeys::CAPACITY`] keys and clears itself
+/// when a new client would overflow it, so a flood of fresh client ids
+/// costs at most one key derivation per request and never unbounded
+/// memory.
+pub struct ClientKeys {
+    master_seed: u64,
+    keys: HashMap<ClientId, MacKey>,
+}
+
+impl ClientKeys {
+    /// The most keys held at once.
+    pub const CAPACITY: usize = 1024;
+
+    /// An empty cache for the clients of `master_seed`.
+    pub fn new(master_seed: u64) -> Self {
+        ClientKeys { master_seed, keys: HashMap::new() }
+    }
+
+    /// `client`'s MAC key, equal to `client_mac_key(master_seed, client)`.
+    pub fn get(&mut self, client: ClientId) -> &MacKey {
+        if self.keys.len() >= Self::CAPACITY && !self.keys.contains_key(&client) {
+            self.keys.clear();
+        }
+        let seed = self.master_seed;
+        self.keys.entry(client).or_insert_with(|| client_mac_key(seed, client))
+    }
+
+    /// Checks a request's client MAC.
+    #[must_use]
+    pub fn verify_request(&mut self, req: &Request) -> bool {
+        self.get(req.client())
+            .verify(&Request::auth_bytes(req.id, &req.op, req.encrypted), &req.auth)
+    }
+
+    /// Checks every request's client MAC with one decision for the whole
+    /// batch ([`verify_tag_batch`]); callers reject the batch on failure,
+    /// so no per-request verdict is needed.
+    #[must_use]
+    pub fn verify_batch(&mut self, requests: &[Request]) -> bool {
+        verify_tag_batch(requests.iter().map(|req| {
+            let tag = self
+                .get(req.client())
+                .tag(&Request::auth_bytes(req.id, &req.op, req.encrypted));
+            (tag, req.auth)
+        }))
+    }
 }
 
 /// The cluster-wide registry of public keys, indexed by signer identity.
@@ -225,6 +278,83 @@ mod tests {
             let kp = KeyPair::for_signer(7, s);
             assert_eq!(reg.get(s), Some(&kp.public_key()));
         }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn signatures_are_pinned() {
+        // Values from the full `SecretKey::sign` path: reusing the stored
+        // public key in `KeyPair::sign` must not change a byte.
+        let mut all = crate::sha256::Sha256::new();
+        for seed in [0u64, 1, 2, 42, 77, 1 << 40, u64::MAX] {
+            let kp = KeyPair::from_seed(seed);
+            for msg in [&b""[..], b"m", b"prepare", &[0xab; 200]] {
+                let sig = kp.sign(msg);
+                assert_eq!(sig, SecretKey::from_seed(seed).sign(msg));
+                all.update(&sig.0);
+            }
+        }
+        assert_eq!(
+            hex(&all.finalize()),
+            "f31a6fc2c99d1831f425b89011c7a30cd1ad18bc27a90b13702e689f18f0fb05"
+        );
+        assert_eq!(
+            hex(&KeyPair::from_seed(42).sign(b"prepare").0[..16]),
+            "03e30a323de7be0d44c8d9fbbed89202"
+        );
+    }
+
+    #[test]
+    fn client_mac_key_is_pinned() {
+        // HMAC-SHA256(42u64 LE, "client-mac:" ‖ 1u32 LE), computed
+        // independently.
+        assert_eq!(
+            hex(client_mac_key(42, ClientId(1)).as_bytes()),
+            "32705f058e16863673194ec8adf796f651d76bee40af2dabd4fa638060068da2"
+        );
+    }
+
+    #[test]
+    fn client_keys_match_derivation_past_capacity() {
+        let mut keys = ClientKeys::new(42);
+        let clients = (ClientKeys::CAPACITY * 2 + 5) as u32;
+        for round in 0..2 {
+            for c in 0..clients {
+                let client = ClientId(c);
+                assert_eq!(keys.get(client), &client_mac_key(42, client), "round {round}, {c}");
+                assert!(keys.keys.len() <= ClientKeys::CAPACITY);
+            }
+        }
+        assert_eq!(keys.get(ClientId(u32::MAX)), &client_mac_key(42, ClientId(u32::MAX)));
+    }
+
+    fn request(client: u32, seed: u64) -> Request {
+        let id = splitbft_types::RequestId {
+            client: ClientId(client),
+            timestamp: splitbft_types::Timestamp(9),
+        };
+        let mut req = Request { id, op: b"inc".to_vec().into(), encrypted: false, auth: [0; 32] };
+        req.auth = client_mac_key(seed, id.client).tag(&Request::auth_bytes(id, &req.op, false));
+        req
+    }
+
+    #[test]
+    fn client_keys_verify_requests_and_batches() {
+        let mut keys = ClientKeys::new(42);
+        let good: Vec<Request> = (0..4).map(|c| request(c, 42)).collect();
+        assert!(good.iter().all(|r| keys.verify_request(r)));
+        assert!(keys.verify_batch(&good));
+        assert!(keys.verify_batch(&[]));
+
+        // A tag under another seed is a forgery, alone or inside a batch.
+        let forged = request(2, 43);
+        assert!(!keys.verify_request(&forged));
+        let mut batch = good.clone();
+        batch[2] = forged;
+        assert!(!keys.verify_batch(&batch));
     }
 
     #[test]

@@ -51,7 +51,7 @@ use splitbft_types::Digest;
 
 pub use aead::{open, seal, AeadError, AeadKey};
 pub use hmac::{hmac_sha256, verify_tag_batch, MacKey};
-pub use keys::{client_mac_key, KeyPair, KeyRegistry};
+pub use keys::{client_mac_key, ClientKeys, KeyPair, KeyRegistry};
 pub use sig::{dh_public, dh_shared, SecretKey, SigPublicKey};
 
 /// SHA-256 digest of raw bytes, as a [`Digest`].

@@ -98,7 +98,13 @@ impl SecretKey {
 
     /// Signs `msg`, producing a deterministic Schnorr signature.
     pub fn sign(&self, msg: &[u8]) -> Signature {
-        let pk = self.public();
+        self.sign_with_public(msg, self.public())
+    }
+
+    /// [`SecretKey::sign`] with the matching public key already known,
+    /// which saves one modular exponentiation. `pk` must be
+    /// [`SecretKey::public`].
+    pub(crate) fn sign_with_public(&self, msg: &[u8], pk: SigPublicKey) -> Signature {
         // Deterministic nonce: k = H(sk, msg). Reusing k across messages
         // would leak sk in a real scheme, so derive it from both.
         let k = hash_to_scalar(&[b"splitbft-nonce", &self.0.to_le_bytes(), msg]);

@@ -4,7 +4,7 @@ use crate::config::HybridConfig;
 use crate::message::{HybridCommit, HybridMessage, HybridPrepare};
 use crate::usig::{UsigTrait, UsigVerifier};
 use splitbft_app::Application;
-use splitbft_crypto::{client_mac_key, digest_bytes, digest_of};
+use splitbft_crypto::{digest_bytes, digest_of, ClientKeys};
 use splitbft_types::wire::{Decode, Encode, Reader};
 use splitbft_types::{
     ClientId, Digest, DurableCheckpoint, DurableEvent, ProtocolError, ReplicaId, Reply, Request,
@@ -59,7 +59,7 @@ pub struct HybridReplica<A, U> {
     view: View,
     usig: U,
     verifier: UsigVerifier,
-    auth_seed: u64,
+    client_keys: ClientKeys,
     slots: BTreeMap<u64, HybridSlot>,
     last_exec: u64,
     app: A,
@@ -83,7 +83,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
             view: View::initial(),
             usig,
             verifier,
-            auth_seed: master_seed,
+            client_keys: ClientKeys::new(master_seed),
             slots: BTreeMap::new(),
             last_exec: 0,
             app,
@@ -127,11 +127,6 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
         splitbft_crypto::digest_bytes(&self.app.snapshot())
     }
 
-    fn verify_request(&self, req: &Request) -> bool {
-        let key = client_mac_key(self.auth_seed, req.client());
-        key.verify(&Request::auth_bytes(req.id, &req.op, req.encrypted), &req.auth)
-    }
-
     /// Primary: order a batch of client requests.
     pub fn on_client_batch(&mut self, requests: Vec<Request>) -> Vec<HybridAction> {
         let mut actions = Vec::new();
@@ -140,7 +135,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
         }
         let fresh: Vec<Request> = requests
             .into_iter()
-            .filter(|r| self.verify_request(r))
+            .filter(|r| self.client_keys.verify_request(r))
             .filter(|r| {
                 self.last_replies
                     .get(&r.client())
@@ -195,7 +190,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
         self.verifier
             .verify(primary, &digest, &p.ui)
             .map_err(|_| ProtocolError::BadAuthenticator { kind: "USIG on prepare" })?;
-        if !p.batch.requests.iter().all(|r| self.verify_request(r)) {
+        if !self.client_keys.verify_batch(&p.batch.requests) {
             return Err(ProtocolError::BadAuthenticator { kind: "request in hybrid batch" });
         }
 
@@ -273,7 +268,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
                     _ => {}
                 }
                 let result = self.app.execute(&req.op);
-                let key = client_mac_key(self.auth_seed, client);
+                let key = self.client_keys.get(client);
                 let auth =
                     key.tag(&Reply::auth_bytes(self.view, req.id, self.id, &result, false));
                 let reply = Reply {
@@ -351,7 +346,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
             .into_iter()
             .map(|(client, timestamp, result)| {
                 let request = RequestId { client, timestamp };
-                let key = client_mac_key(self.auth_seed, client);
+                let key = self.client_keys.get(client);
                 let auth =
                     key.tag(&Reply::auth_bytes(self.view, request, self.id, &result, false));
                 let reply = Reply {
@@ -417,7 +412,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
                 continue;
             }
             let result = self.app.execute(&req.op);
-            let key = client_mac_key(self.auth_seed, client);
+            let key = self.client_keys.get(client);
             let auth = key.tag(&Reply::auth_bytes(self.view, req.id, self.id, &result, false));
             let reply = Reply {
                 view: self.view,
@@ -479,6 +474,7 @@ impl<A: Application, U: UsigTrait> HybridReplica<A, U> {
 mod tests {
     use super::*;
     use crate::usig::{FaultyUsig, Usig};
+    use splitbft_crypto::client_mac_key;
     use bytes::Bytes;
     use splitbft_app::CounterApp;
     use splitbft_types::Timestamp;

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //!        ┌───────────────────────────── node thread ──────────────────────────────┐
-//!        │  accept ──► read (64 KiB chunks ──► FrameAssembler ──► borrowed frame  │
+//!        │  accept ──► read (16 KiB chunks ──► FrameAssembler ──► borrowed frame  │
 //!        │     ▲        views, decoded in place — no per-frame Vec)               │
 //!        │     │                          │                                       │
 //!        │  listener                      ▼                                       │
@@ -59,8 +59,9 @@ use std::time::{Duration, Instant};
 /// Bytes pulled from one connection per loop pass: large enough to
 /// carry dozens of frames per syscall under load, small enough that one
 /// flooding connection cannot starve the others (each gets one bounded
-/// read per pass).
-const READ_CHUNK: usize = 64 * 1024;
+/// read per pass). Every connection's reassembly buffer stays resident
+/// at about this size or twice it, so it is kept modest.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Per-peer outbound ring bounds. Generous — the ring replaces an
 /// unbounded channel, so the cap only bites when a peer is down or

@@ -30,7 +30,7 @@ use crate::verify::{
 };
 use crate::viewchange::{plan_new_view, validate_new_view, NewViewPlan, ViewChangeTracker};
 use splitbft_app::Application;
-use splitbft_crypto::{client_mac_key, digest_bytes, digest_of, KeyPair, KeyRegistry};
+use splitbft_crypto::{client_mac_key, digest_bytes, digest_of, ClientKeys, KeyPair, KeyRegistry};
 use splitbft_types::wire::{decode, encode, Decode, Encode, Reader};
 use splitbft_types::{
     Checkpoint, CheckpointCertificate, ClientId, ClusterConfig, Commit, ConsensusMessage, Digest,
@@ -88,7 +88,7 @@ pub struct Replica<A> {
     signer: SignerId,
     keypair: KeyPair,
     registry: KeyRegistry,
-    auth_seed: u64,
+    client_keys: ClientKeys,
     scheme: SignerScheme,
 
     view: View,
@@ -155,7 +155,7 @@ impl<A: Application> Replica<A> {
             signer,
             keypair,
             registry,
-            auth_seed: master_seed,
+            client_keys: ClientKeys::new(master_seed),
             scheme: REPLICA_SCHEME,
             view: View::initial(),
             status: Status::Normal,
@@ -391,7 +391,7 @@ impl<A: Application> Replica<A> {
         let mut actions = Vec::new();
         let mut fresh = Vec::new();
         for req in requests {
-            if !self.verify_request(&req) {
+            if !self.client_keys.verify_request(&req) {
                 continue;
             }
             match self.last_replies.get(&req.client()) {
@@ -487,23 +487,6 @@ impl<A: Application> Replica<A> {
 
     // --- normal operation ------------------------------------------------
 
-    fn verify_request(&self, req: &Request) -> bool {
-        let key = client_mac_key(self.auth_seed, req.client());
-        key.verify(&Request::auth_bytes(req.id, &req.op, req.encrypted), &req.auth)
-    }
-
-    /// Authenticates every request in a proposed batch at once: the
-    /// per-request tags are still computed, but accept/reject collapses
-    /// to a single constant-time digest comparison
-    /// ([`splitbft_crypto::verify_tag_batch`]) — the whole batch is
-    /// rejected on any failure, so no per-request verdict is needed.
-    fn verify_request_batch(&self, requests: &[Request]) -> bool {
-        splitbft_crypto::verify_tag_batch(requests.iter().map(|req| {
-            let key = client_mac_key(self.auth_seed, req.client());
-            (key.tag(&Request::auth_bytes(req.id, &req.op, req.encrypted)), req.auth)
-        }))
-    }
-
     /// Records an accepted-but-unexecuted request for the view-change
     /// timer. One entry per client (the highest timestamp seen) bounds
     /// the map at one entry per live client.
@@ -556,7 +539,9 @@ impl<A: Application> Replica<A> {
         // Backups refuse to prepare a batch containing unauthenticated
         // requests: a byzantine primary must not be able to launder
         // forged client operations through agreement.
-        if !self.verify_request_batch(&pp.payload.batch.requests) {
+        // Any failing member rejects the whole batch, so one decision per
+        // batch suffices.
+        if !self.client_keys.verify_batch(&pp.payload.batch.requests) {
             return Err(ProtocolError::BadAuthenticator { kind: "request in batch" });
         }
         self.accept_pre_prepare(pp)
@@ -691,7 +676,7 @@ impl<A: Application> Replica<A> {
             // operation (SplitBFT's confidential mode) is opaque bytes
             // here and will execute as a no-op.
             let result = self.app.execute(&req.op);
-            let auth_key = client_mac_key(self.auth_seed, client);
+            let auth_key = self.client_keys.get(client);
             let auth = auth_key
                 .tag(&Reply::auth_bytes(self.view, req.id, self.id, &result, false));
             let reply =
@@ -743,7 +728,7 @@ impl<A: Application> Replica<A> {
             .into_iter()
             .map(|(client, timestamp, result)| {
                 let request = splitbft_types::RequestId { client, timestamp };
-                let auth_key = client_mac_key(self.auth_seed, client);
+                let auth_key = self.client_keys.get(client);
                 let auth = auth_key
                     .tag(&Reply::auth_bytes(self.view, request, self.id, &result, false));
                 let reply = Reply {

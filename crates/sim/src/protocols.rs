@@ -269,7 +269,6 @@ impl<A: Application> ProtocolNode for SplitBftNode<A> {
             self.commits_seen.clear();
         }
         let events = self.replica.on_network_message(msg.clone());
-        let _ = self.replica.drain_trace();
         if redundant && events.is_empty() {
             // Early drop: one cheap ecall into the target compartment.
             let kind = Self::route(&msg)[0];
@@ -289,7 +288,6 @@ impl<A: Application> ProtocolNode for SplitBftNode<A> {
 
     fn on_client_batch(&mut self, requests: Vec<Request>) -> StepResult {
         let events = self.replica.on_client_batch(requests.clone());
-        let _ = self.replica.drain_trace();
         self.build_step(None, Some(&requests), events)
     }
 
